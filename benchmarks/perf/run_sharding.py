@@ -7,13 +7,17 @@ Usage::
 
 Sweeps n in {16, 32, 64, 128} for unsharded Stratus/HotStuff ("S-HS")
 and sharded-stratus ("SS-HS") at shard counts {1, 2, 4, 8}, with every
-replica offering 500 tps into 25 Mb/s links. The capacity math is the
-point of the grid: an unsharded replica must receive every microblock
-body, so committed throughput flattens near bandwidth/tx_size
-(~24.6k tps) once n*500 crosses it at n=64. A shard member only
-receives its own shard's bodies — consensus carries certificates — so
-the s-shard ceiling is ~s times higher and the committed-tps slope
-keeps climbing through n=128.
+replica offering ``RATE_PER_REPLICA`` = 2,000 tps of 128-byte
+transactions into ``BANDWIDTH_BPS`` = 100 Mb/s links. The capacity math
+is the point of the grid. Each origin emits 2,000 x 128 B = 256 KB/s
+(2.05 Mb/s) of body bytes, and a link carries bodies for at most
+100e6 / (128 x 8) ~ 97.7k tps. An unsharded replica must receive every
+body: its inbound n x 2.05 Mb/s crosses the link between n=32 (66 Mb/s)
+and n=64 (131 Mb/s), so committed throughput flattens below ~97.7k tps.
+A shard member only receives its own shard's bodies — consensus carries
+certificates — so the s-shard ceiling is ~s times higher. With 4 shards
+a member receives (128 / 4) x 2.05 = 66 Mb/s at n=128, still under
+capacity, and the committed-tps slope keeps climbing through n=128.
 
 Every cell runs with the full oracle suite armed (including the
 per-shard availability/conservation checks), in the worker when

@@ -12,10 +12,10 @@ Five mempool families back the protocols evaluated in the paper
 * :class:`~repro.mempool.narwhal.NarwhalMempool` — Bracha reliable
   broadcast, quadratic message complexity (Narwhal baseline);
 * :class:`~repro.mempool.stratus.StratusMempool` — PAB + DLB
-  (this paper's contribution);
-* :class:`~repro.mempool.sharded.ShardedStratusMempool` — per-shard PAB
-  quorums and certificate-only consensus ordering (Arma / BigDipper
-  directions; see DESIGN.md "Sharding").
+  (this paper's contribution). One class backs both ``stratus`` and
+  ``sharded-stratus``: an availability scheme picks either proofs from
+  every peer or per-shard quorums whose certificates consensus orders
+  (Arma / BigDipper directions; see DESIGN.md "Sharding").
 """
 
 from repro.mempool.base import Mempool, MessageKinds
@@ -23,7 +23,6 @@ from repro.mempool.native import NativeMempool, SharedPendingPool
 from repro.mempool.simple_smp import SimpleSharedMempool
 from repro.mempool.gossip_smp import GossipSharedMempool
 from repro.mempool.narwhal import NarwhalMempool
-from repro.mempool.sharded import ShardedStratusMempool
 from repro.mempool.stratus import StratusMempool
 
 MEMPOOL_CLASSES = {
@@ -32,7 +31,7 @@ MEMPOOL_CLASSES = {
     "gossip": GossipSharedMempool,
     "narwhal": NarwhalMempool,
     "stratus": StratusMempool,
-    "sharded-stratus": ShardedStratusMempool,
+    "sharded-stratus": StratusMempool,
 }
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "SimpleSharedMempool",
     "GossipSharedMempool",
     "NarwhalMempool",
-    "ShardedStratusMempool",
     "StratusMempool",
     "MEMPOOL_CLASSES",
 ]

@@ -18,7 +18,7 @@ engine needs:
 from __future__ import annotations
 
 import abc
-from typing import Callable, TYPE_CHECKING
+from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.config import ProtocolConfig
 from repro.sim.interfaces import Channel, Envelope
@@ -58,9 +58,10 @@ class MessageKinds:
     # mempool or consensus engine); see Replica.handle.
     STATE_SNAPSHOT_REQ = "state.snap_req"
     STATE_SNAPSHOT = "state.snap"
-    # Sharded shared mempool (repro.sharding): the body push stays in the
-    # ``mb`` accounting group and the shard ack in ``pab.ack``; the
-    # certificate broadcast is its own (tiny, control-channel) group.
+    # Sharded shared mempool (the shard availability scheme). These are
+    # separate accounting kinds: bytes of the shard push, ack and
+    # certificate are counted apart from ``mb``, ``pab.ack`` and
+    # ``pab.proof``. Only the push joins a group: MICROBLOCK_KINDS.
     SHARD_MICROBLOCK = "mb.shard"
     SHARD_ACK = "pab.ack.shard"
     SHARD_CERT = "pab.cert"
@@ -144,27 +145,44 @@ class Mempool(abc.ABC):
         marked *before* resolution: resolution can lag behind the commit
         (missing bodies still being fetched), and a fork abandoned in the
         same commit sweep must not re-queue ids the canonical chain just
-        committed.
+        committed. Metrics are recorded at commit time instead when
+        :meth:`commit_evidence` supplies the scalars.
         """
         self.mark_committed(proposal)
+        evidence = self.commit_evidence(proposal)
+        if evidence is not None:
+            self._record_commit(proposal, commit_time, evidence)
+
         def report(block: Block) -> None:
-            latencies = [
-                (commit_time - mb.mean_arrival, float(mb.tx_count))
-                for mb in block.microblocks.values()
-            ]
-            self.host.metrics.record_commit(
-                block_id=proposal.block_id,
-                tx_count=block.tx_count,
-                microblock_count=len(block.microblocks),
-                latencies=latencies,
-                commit_time=commit_time,
-            )
+            if evidence is None:
+                self._record_commit(
+                    proposal, commit_time, list(block.microblocks.values())
+                )
             block.committed_at = commit_time
             self.host.notify_block_resolved(block)
             self.host.on_block_executed(block)
             self.garbage_collect(proposal)
 
         self.resolve(proposal, report)
+
+    def commit_evidence(self, proposal: Proposal) -> Optional[list]:
+        """Per-microblock ``tx_count``/``mean_arrival`` carriers known at
+        commit time, or None to account from the resolved bodies."""
+        return None
+
+    def _record_commit(
+        self, proposal: Proposal, commit_time: float, items: list
+    ) -> None:
+        self.host.metrics.record_commit(
+            block_id=proposal.block_id,
+            tx_count=sum(item.tx_count for item in items),
+            microblock_count=len(items),
+            latencies=[
+                (commit_time - item.mean_arrival, float(item.tx_count))
+                for item in items
+            ],
+            commit_time=commit_time,
+        )
 
     def mark_committed(self, proposal: Proposal) -> None:
         """Record the proposal's content as committed, synchronously.

@@ -1,9 +1,12 @@
 """Stratus: the paper's robust shared mempool.
 
-Three cooperating pieces:
+Cooperating pieces:
 
 * :mod:`repro.mempool.stratus.pab` — provably available broadcast
   (Algorithms 1 and 2);
+* :mod:`repro.mempool.stratus.availability` — the availability scheme
+  PAB and the mempool run under: all-peer proofs (``stratus``) or
+  per-shard certificates (``sharded-stratus``);
 * :mod:`repro.mempool.stratus.estimator` — stable-time workload
   estimation (Section V-B);
 * :mod:`repro.mempool.stratus.dlb` — distributed load balancing with

@@ -1,26 +1,33 @@
 """The Stratus shared mempool (Algorithm 3).
 
 Bookkeeping mirrors the paper: ``mbMap`` is the microblock store,
-``pMap`` maps microblock ids to availability proofs, and ``avaQue``
+``pMap`` maps microblock ids to availability evidence, and ``avaQue``
 queues provably-available ids for proposal. A proposal built by
 :meth:`StratusMempool.make_payload` carries each referenced id *with its
-proof*; a replica that verifies those proofs can vote immediately —
-missing bodies are fetched from proof signers over the data channel
+evidence*; a replica that verifies the evidence can vote immediately —
+missing bodies are fetched from its signers over the data channel
 without blocking consensus (Solution-I). Load balancing (Solution-II) is
 delegated to :class:`repro.mempool.stratus.dlb.LoadBalancer`.
+
+The same class backs ``stratus`` and ``sharded-stratus``; an
+availability scheme (:mod:`repro.mempool.stratus.availability`) decides
+the evidence format. Under the shard scheme consensus orders compact
+certificates, replicas outside a microblock's shard resolve its body only
+for an attached executor, and commit metrics come from the certificates'
+embedded scalars so accounting stays exact where bodies never arrive.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.config import ProtocolConfig
-from repro.crypto import AvailabilityProof, verify_availability_proof
-from repro.mempool.base import Mempool, MessageKinds, OnFull, OnReady
+from repro.mempool.base import Mempool, OnFull, OnReady
 from repro.mempool.batching import MicroBlockBatcher
 from repro.mempool.fetching import FetchManager
 from repro.mempool.store import MicroBlockStore
+from repro.mempool.stratus.availability import Evidence, availability_scheme
 from repro.mempool.stratus.dlb import LoadBalancer
 from repro.mempool.stratus.estimator import StableTimeEstimator
 from repro.mempool.stratus.pab import PabEngine
@@ -34,12 +41,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class StratusMempool(Mempool):
-    """Shared mempool with PAB availability proofs and DLB (S-HS, S-SL)."""
+    """Shared mempool with PAB availability evidence (S-HS, S-SL, SS-HS)."""
 
     name = "stratus"
 
     def __init__(self, host: "Replica", config: ProtocolConfig) -> None:
         super().__init__(host, config)
+        self.scheme = availability_scheme(config, host.node_id)
         self.store = MicroBlockStore()  # mbMap
         self.fetcher = FetchManager(host, config, self.store)
         self.estimator = StableTimeEstimator(
@@ -49,18 +57,21 @@ class StratusMempool(Mempool):
             busy_slack=config.busy_slack,
         )
         self.pab = PabEngine(
-            host, config, self.store, self.fetcher,
+            host, config, self.store, self.fetcher, self.scheme,
             on_proof=self._on_remote_proof,
             on_stable=self._on_stable,
             retry_floor=self.estimator.estimate,
         )
-        self.balancer = LoadBalancer(
-            host, config, self.estimator, self.pab,
-            on_available=self._on_self_available,
+        self.balancer = (
+            LoadBalancer(
+                host, config, self.estimator, self.pab,
+                on_available=self._on_self_available,
+            )
+            if self.scheme.load_balancing else None
         )
         self._batcher = MicroBlockBatcher(host, config, self._on_new_microblock)
         self._ava_queue: deque[MicroBlockId] = deque()  # avaQue
-        self._proofs: dict[MicroBlockId, AvailabilityProof] = {}  # pMap
+        self._proofs: dict[MicroBlockId, Evidence] = {}  # pMap
         self._queued: set[MicroBlockId] = set()
         self._referenced: set[MicroBlockId] = set()
         self._committed: set[MicroBlockId] = set()
@@ -81,7 +92,10 @@ class StratusMempool(Mempool):
         self.host.trace(
             "mb_new", mb=microblock.id, txs=microblock.tx_count,
         )
-        self.balancer.handle_new_microblock(microblock)
+        if self.balancer is not None:
+            self.balancer.handle_new_microblock(microblock)
+        else:
+            self.pab.push_own(microblock, self._on_self_available)
 
     def _on_stable(self, mb_id: MicroBlockId, elapsed: float) -> None:
         self.host.trace("mb_stable", mb=mb_id, st=round(elapsed, 6))
@@ -91,9 +105,7 @@ class StratusMempool(Mempool):
         # broadcast the proof (recovery phase) and queue the id. Forwarded
         # pushes settle through the LoadBalancer instead.
 
-    def _add_available(
-        self, mb_id: MicroBlockId, proof: AvailabilityProof
-    ) -> None:
+    def _add_available(self, mb_id: MicroBlockId, proof: Evidence) -> None:
         """Record ``(id, proof)`` in pMap and push the id onto avaQue."""
         self._proofs[mb_id] = proof
         if (
@@ -104,9 +116,7 @@ class StratusMempool(Mempool):
             self._queued.add(mb_id)
             self._ava_queue.append(mb_id)
 
-    def _on_self_available(
-        self, mb_id: MicroBlockId, proof: AvailabilityProof
-    ) -> None:
+    def _on_self_available(self, mb_id: MicroBlockId, proof: Evidence) -> None:
         """A PAB instance this replica owns became available.
 
         Covers both a completed self-push and a settled forward (where the
@@ -126,11 +136,11 @@ class StratusMempool(Mempool):
         if repushed:
             self.host.trace("mb_repush", count=repushed)
 
-    def _on_remote_proof(
-        self, mb_id: MicroBlockId, proof: AvailabilityProof
-    ) -> None:
-        """A PAB-Proof message arrived (already verified by the engine)."""
-        if self.balancer.on_proof_received(mb_id, proof):
+    def _on_remote_proof(self, mb_id: MicroBlockId, proof: Evidence) -> None:
+        """A proof broadcast arrived (already verified by the engine)."""
+        if self.balancer is not None and self.balancer.on_proof_received(
+            mb_id, proof
+        ):
             return  # settled a forwarded microblock; balancer recovered it
         self._add_available(mb_id, proof)
 
@@ -157,13 +167,9 @@ class StratusMempool(Mempool):
 
     def verify_payload(self, payload: Payload) -> bool:
         """threshold-verify every proof; failure triggers a view-change."""
+        verify = self.scheme.verify
         for entry in payload.entries:
-            if entry.proof is None:
-                return False
-            if not verify_availability_proof(
-                entry.proof, entry.mb_id,
-                self.config.stability_quorum, self.config.n,
-            ):
+            if entry.proof is None or not verify(entry.proof, entry.mb_id):
                 return False
         return True
 
@@ -180,9 +186,27 @@ class StratusMempool(Mempool):
                 self._proofs.setdefault(entry.mb_id, entry.proof)
         on_ready()
 
+    def _resolvable(self, entries) -> tuple[PayloadEntry, ...]:
+        """Entries this replica materializes bodies for.
+
+        An executor needs every body (state must be applied in full);
+        otherwise the scheme decides. Under the shard scheme only entries
+        of this replica's shards, plus any body already local, are
+        resolved; the rest commit as certificates, which is the whole
+        bandwidth story.
+        """
+        if self.host.executor is not None or not self.scheme.lazy_bodies:
+            return entries
+        holds = self.scheme.holds
+        store = self.store
+        return tuple(
+            entry for entry in entries
+            if holds(entry.mb_id) or entry.mb_id in store
+        )
+
     def resolve(self, proposal: Proposal, on_full: OnFull) -> None:
         block = Block(proposal=proposal)
-        entries = proposal.payload.entries
+        entries = self._resolvable(proposal.payload.entries)
         if not entries:
             block.filled_at = self.host.sim.now
             on_full(block)
@@ -200,6 +224,19 @@ class StratusMempool(Mempool):
             self.store.on_delivery(entry.mb_id, collect)
             if entry.mb_id not in self.store and entry.proof is not None:
                 self.pab.fetch(entry.mb_id, entry.proof)
+
+    def commit_evidence(self, proposal: Proposal) -> Optional[list]:
+        """Certificates embed each microblock's tx count and arrival mean,
+        so the shard scheme accounts a commit from them at once:
+        resolution may never materialize foreign-shard bodies here, and
+        must not gate throughput/latency accounting. Proofs carry no such
+        scalars; their commits are accounted from resolved bodies."""
+        if not self.scheme.commit_scalars:
+            return None
+        return [
+            entry.proof for entry in proposal.payload.entries
+            if entry.proof is not None
+        ]
 
     def mark_committed(self, proposal: Proposal) -> None:
         """Commit hook (Section VIII): ids must never re-enter avaQue."""
@@ -226,7 +263,12 @@ class StratusMempool(Mempool):
             self.pab.discard(mb_id)
 
     def on_abandoned(self, proposal: Proposal) -> None:
-        """Re-queue proven ids from a lost fork (SMP-Inclusion)."""
+        """Re-queue proven ids from a lost fork (SMP-Inclusion).
+
+        Only evidence this replica holds itself is re-queued: an entry
+        of a proposal it never prepared may carry evidence it never
+        verified.
+        """
         for entry in proposal.payload.entries:
             self._referenced.discard(entry.mb_id)
             if (
@@ -239,6 +281,6 @@ class StratusMempool(Mempool):
     # -- network -----------------------------------------------------------
 
     def on_message(self, envelope: Envelope) -> None:
-        if self.balancer.on_message(envelope):
+        if self.balancer is not None and self.balancer.on_message(envelope):
             return
         self.pab.on_message(envelope)

@@ -2,17 +2,22 @@
 
 **Push phase.** The pusher broadcasts the microblock body; every receiver
 stores it and returns a signed ack. Once ``q`` distinct acks accumulate
-(the pusher's own counts), the pusher aggregates them into an
-availability proof and reports it via ``on_available``. With
-``q >= f + 1`` at least one ack came from a correct replica, so the body
-is retrievable forever.
+(the pusher's own counts), the pusher aggregates them into availability
+evidence and reports it via ``on_available``. With ``q >= f + 1`` at
+least one ack came from a correct replica, so the body is retrievable
+forever.
 
-**Recovery phase.** Whoever owns the PAB instance broadcasts the proof;
-replicas that verify a proof for a body they lack fetch it from a random
-sample of the proof's signers, retrying every ``delta`` seconds
+**Recovery phase.** Whoever owns the PAB instance broadcasts the
+evidence; replicas that verify evidence for a body they lack fetch it
+from a random sample of its signers, retrying every ``delta`` seconds
 (:class:`repro.mempool.fetching.FetchManager`). Recovery traffic stays
 off the consensus critical path: requests ride the control channel and
 the returned bodies ride the data channel.
+
+Fan-out, quorum, evidence format and who recovers eagerly come from an
+availability scheme (:mod:`repro.mempool.stratus.availability`): every
+peer and concatenated proofs for Stratus, the pusher's shard and
+aggregate certificates for sharded Stratus.
 """
 
 from __future__ import annotations
@@ -20,14 +25,7 @@ from __future__ import annotations
 from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.config import ProtocolConfig
-from repro.crypto import (
-    AvailabilityProof,
-    ProofError,
-    Signature,
-    make_availability_proof,
-    sign,
-    verify_availability_proof,
-)
+from repro.crypto import Signature, sign
 from repro.mempool.base import MessageKinds
 from repro.mempool.fetching import (
     FetchManager,
@@ -36,6 +34,7 @@ from repro.mempool.fetching import (
     sampled_signers,
 )
 from repro.mempool.store import MicroBlockStore
+from repro.mempool.stratus.availability import Evidence, Scheme
 from repro.sim.network import Channel, Envelope
 from repro.types import sizes
 from repro.types.microblock import MicroBlock, MicroBlockId
@@ -43,8 +42,7 @@ from repro.types.microblock import MicroBlock, MicroBlockId
 if TYPE_CHECKING:  # pragma: no cover
     from repro.replica.node import Replica
 
-OnAvailable = Callable[[MicroBlockId, AvailabilityProof], None]
-OnProof = Callable[[MicroBlockId, AvailabilityProof], None]
+OnAvailable = Callable[[MicroBlockId, Evidence], None]
 
 #: EWMA smoothing weight for the push->first-remote-ack RTT sample.
 RTT_EWMA_ALPHA = 0.2
@@ -89,7 +87,8 @@ class PabEngine:
         config: ProtocolConfig,
         store: MicroBlockStore,
         fetcher: FetchManager,
-        on_proof: OnProof,
+        scheme: Scheme,
+        on_proof: OnAvailable,
         on_stable: Optional[Callable[[MicroBlockId, float], None]] = None,
         retry_floor: Optional[Callable[[], Optional[float]]] = None,
     ) -> None:
@@ -107,13 +106,32 @@ class PabEngine:
         #: the stable-time estimator has a full window.
         self._ack_rtt: Optional[float] = None
         self._pushes: dict[MicroBlockId, _PushState] = {}
-        self._proofs: dict[MicroBlockId, AvailabilityProof] = {}
-        #: Default push fan-out (everyone else), computed once.
-        self._all_peers: tuple[int, ...] = tuple(
-            node for node in range(config.n) if node != host.node_id
-        )
+        self._proofs: dict[MicroBlockId, Evidence] = {}
+        self.scheme = scheme
+        # Hot-path constants, read once per push or ack.
+        self._quorum = scheme.quorum
+        #: Default push fan-out.
+        self.targets: tuple[int, ...] = scheme.targets
+        #: Signers a push starts with: 1 when the pusher's copy counts.
+        self._self_signers = 1 if scheme.self_acks else 0
+        self._push_kind = scheme.push_kind
+        self._ack_kind = scheme.ack_kind
+        self._proof_kind = scheme.evidence_kind
 
     # -- pusher role -------------------------------------------------------
+
+    def push_own(
+        self, microblock: MicroBlock, on_available: OnAvailable
+    ) -> None:
+        """Push a microblock this replica originated.
+
+        The replica's behaviour picks the recipients from the scheme's
+        fan-out: honest replicas keep it, Byzantine senders restrict it
+        to mount the censoring attack of Fig. 8.
+        """
+        host = self._host
+        targets = host.behavior.share_targets(host, list(self.targets))
+        self.push(microblock, on_available, targets=targets)
 
     def push(
         self,
@@ -123,28 +141,26 @@ class PabEngine:
     ) -> None:
         """Start the push phase for ``microblock``.
 
-        ``targets`` defaults to every other replica; Byzantine senders
-        restrict it to mount the censoring attack of Fig. 8. The pusher's
-        own ack is counted immediately (Algorithm 1, quorum includes the
-        sender).
+        ``targets`` defaults to the scheme's fan-out. The pusher's own
+        ack is counted immediately when the scheme lets it witness
+        (Algorithm 1, quorum includes the sender).
         """
+        host = self._host
+        node_id = host.node_id
         self._store.add(microblock)
-        explicit = targets is not None
-        state = _PushState(
-            microblock, self._host.sim.now, on_available,
-            list(targets) if explicit else self._all_peers,
-        )
+        if targets is None:
+            targets = self.targets
+        state = _PushState(microblock, host.sim.now, on_available, targets)
         self._pushes[microblock.id] = state
-        state.acks.append(sign(self._host.node_id, microblock.id))
-        state.signers.add(self._host.node_id)
-        self._host.network.broadcast(
-            self._host.node_id,
-            MessageKinds.MICROBLOCK,
+        if self._self_signers:
+            state.acks.append(sign(node_id, microblock.id))
+            state.signers.add(node_id)
+        host.network.broadcast(
+            node_id,
+            self._push_kind,
             microblock.size_bytes,
             microblock,
-            # None lets the network use its cached default fan-out
-            # (everyone else) without re-validating a recipient list.
-            recipients=list(targets) if explicit else None,
+            recipients=targets,
         )
         self._arm_retry(state)
         self._maybe_complete(state)
@@ -169,7 +185,7 @@ class PabEngine:
 
     def _arm_retry(self, state: _PushState) -> None:
         stable = self._retry_floor() if self._retry_floor else None
-        pending = len(state.targets) - (len(state.signers) - 1)
+        pending = len(state.targets) - max(0, len(state.signers) - 1)
         delay = adaptive_retry_delay(
             self._config, state.rounds, self._host,
             state.microblock.size_bytes, max(1, pending),
@@ -195,25 +211,25 @@ class PabEngine:
         if missing:
             self._host.network.broadcast(
                 self._host.node_id,
-                MessageKinds.MICROBLOCK,
+                self._push_kind,
                 state.microblock.size_bytes,
                 state.microblock,
                 recipients=missing,
             )
         self._arm_retry(state)
 
-    def broadcast_proof(self, mb_id: MicroBlockId, proof: AvailabilityProof) -> None:
-        """Start the recovery phase: disseminate the availability proof."""
+    def broadcast_proof(self, mb_id: MicroBlockId, proof: Evidence) -> None:
+        """Start the recovery phase: disseminate the evidence."""
         self._proofs[mb_id] = proof
         self._host.network.broadcast(
             self._host.node_id,
-            MessageKinds.PROOF,
+            self._proof_kind,
             proof.size_bytes,
             (mb_id, proof),
             Channel.CONTROL,
         )
 
-    def proof_for(self, mb_id: MicroBlockId) -> Optional[AvailabilityProof]:
+    def proof_for(self, mb_id: MicroBlockId) -> Optional[Evidence]:
         return self._proofs.get(mb_id)
 
     def discard(self, mb_id: MicroBlockId) -> None:
@@ -229,7 +245,7 @@ class PabEngine:
             state.timer.cancel()
         self._fetcher.cancel(mb_id)
 
-    def fetch(self, mb_id: MicroBlockId, proof: AvailabilityProof) -> None:
+    def fetch(self, mb_id: MicroBlockId, proof: Evidence) -> None:
         """``PAB-Fetch``: retrieve a missing body from the proof's signers.
 
         The first round is deferred by a grace period: in the normal case
@@ -249,16 +265,13 @@ class PabEngine:
     def on_message(self, envelope: Envelope) -> bool:
         """Process PAB traffic; returns False for non-PAB kinds."""
         kind = envelope.kind
-        if kind in (
-            MessageKinds.MICROBLOCK,
-            MessageKinds.MICROBLOCK_FETCH,
-        ):
+        if kind == self._push_kind or kind == MessageKinds.MICROBLOCK_FETCH:
             self._on_body(envelope)
             return True
-        if kind == MessageKinds.ACK:
+        if kind == self._ack_kind:
             self._on_ack(envelope)
             return True
-        if kind == MessageKinds.PROOF:
+        if kind == self._proof_kind:
             self._on_proof_message(envelope)
             return True
         if kind == MessageKinds.FETCH_REQUEST:
@@ -270,7 +283,7 @@ class PabEngine:
         microblock: MicroBlock = envelope.payload
         self._store.add(microblock)
         if (
-            envelope.kind == MessageKinds.MICROBLOCK
+            envelope.kind == self._push_kind
             and self._host.behavior.acks_microblocks
         ):
             # Witness: ack back to the pusher, even for duplicates — a
@@ -278,7 +291,7 @@ class PabEngine:
             self._host.network.send(
                 self._host.node_id,
                 envelope.src,
-                MessageKinds.ACK,
+                self._ack_kind,
                 sizes.ACK,
                 sign(self._host.node_id, microblock.id),
                 Channel.CONTROL,
@@ -289,7 +302,7 @@ class PabEngine:
         state = self._pushes.get(ack.digest)
         if state is None or state.done:
             return
-        if len(state.signers) == 1 and state.rounds == 1:
+        if len(state.signers) == self._self_signers and state.rounds == 1:
             # First remote ack of an un-retried push: a clean RTT sample.
             sample = self._host.sim.now - state.started_at
             if self._ack_rtt is None:
@@ -301,14 +314,10 @@ class PabEngine:
         self._maybe_complete(state)
 
     def _maybe_complete(self, state: _PushState) -> None:
-        quorum = self._config.stability_quorum
-        if len(state.signers) < quorum:
+        if len(state.signers) < self._quorum:
             return
-        try:
-            proof = make_availability_proof(
-                state.microblock.id, state.acks, quorum, self._config.n
-            )
-        except ProofError:
+        proof = self.scheme.make(state.microblock, state.acks)
+        if proof is None:
             return
         state.done = True
         if state.timer is not None:
@@ -322,13 +331,11 @@ class PabEngine:
 
     def _on_proof_message(self, envelope: Envelope) -> None:
         mb_id, proof = envelope.payload
-        if not verify_availability_proof(
-            proof, mb_id, self._config.stability_quorum, self._config.n
-        ):
+        if not self.scheme.verify(proof, mb_id):
             return
         first_time = mb_id not in self._proofs
         self._proofs[mb_id] = proof
-        if mb_id not in self._store:
+        if mb_id not in self._store and self.scheme.fetches_eagerly(proof):
             self.fetch(mb_id, proof)
         if first_time:
             self._on_proof(mb_id, proof)

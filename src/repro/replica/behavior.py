@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING
 
+from repro.sharding import ShardMap
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.config import ProtocolConfig
     from repro.replica.node import Replica
@@ -76,9 +78,10 @@ class CensoringSender(Behavior):
     Against the simple SMP it shares each microblock with the leader
     only; against availability-guaranteeing mempools it must additionally
     reach enough witnesses for its content to become proposable at all —
-    an ack quorum minus its own ack under Stratus (PAB), an echo quorum
-    minus its own echo under reliable broadcast (Narwhal). It refuses to
-    serve the resulting fetches.
+    an ack quorum minus its own ack under Stratus (PAB; witnesses come
+    from the sender's shard under sharded Stratus), an echo quorum minus
+    its own echo under reliable broadcast (Narwhal). It refuses to serve
+    the resulting fetches.
 
     ``min_witnesses`` is that number of *other* replicas; 0 models the
     pure leader-only attack on the simple SMP.
@@ -99,7 +102,11 @@ class CensoringSender(Behavior):
     ) -> list[int]:
         leader = host.consensus.current_leader()
         targets = {leader} - {host.node_id}
-        missing = self._min_witnesses - len(targets)
+        # Only recipients drawn from the default fan-out can witness: a
+        # leader outside the sender's shard receives the body but its
+        # ack does not count toward the shard quorum.
+        witnesses = len(targets.intersection(default_targets))
+        missing = self._min_witnesses - witnesses
         if missing > 0:
             candidates = [
                 node for node in default_targets if node not in targets
@@ -144,9 +151,10 @@ def behavior_for(kind: str, config: "ProtocolConfig") -> Behavior:
     """Build a behavior from its name, tuned to the protocol under test.
 
     The censoring attacker needs protocol-specific witness counts: under
-    Stratus it must reach an ack quorum minus its own ack, under Narwhal
-    an echo quorum minus its own echo; against the simple SMP the pure
-    leader-only attack suffices.
+    Stratus it must reach an ack quorum minus its own ack (the shard
+    quorum under sharded Stratus), under Narwhal an echo quorum minus its
+    own echo; against the simple SMP the pure leader-only attack
+    suffices.
     """
     if kind in ("none", "honest"):
         return HonestBehavior()
@@ -155,6 +163,9 @@ def behavior_for(kind: str, config: "ProtocolConfig") -> Behavior:
     if kind == "censor":
         if config.mempool == "stratus":
             witnesses = config.stability_quorum - 1
+        elif config.mempool == "sharded-stratus":
+            # Every shard has the same size, hence the same quorum.
+            witnesses = ShardMap.for_protocol(config).quorum(0) - 1
         elif config.mempool == "narwhal":
             witnesses = 2 * config.f
         else:

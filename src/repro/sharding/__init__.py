@@ -1,8 +1,12 @@
-"""Sharded shared-mempool subsystem (Arma / BigDipper directions).
+"""Shard structure for sharded Stratus (Arma / BigDipper directions).
 
-Partitions the microblock space into shards with independent per-shard
-PAB quorums; consensus orders compact :class:`ShardCertificate`s instead
-of bodies. See DESIGN.md "Sharding" for the architecture.
+:class:`ShardMap` partitions the microblock space into shards with
+their own memberships and quorums, and :class:`ShardCertificate` is the
+compact evidence a shard quorum mints. Neither runs a protocol: the one
+Stratus mempool and PAB engine consume them through the shard
+availability scheme (:mod:`repro.mempool.stratus.availability`), and
+consensus orders certificates instead of bodies. See DESIGN.md
+"Sharding" for the architecture.
 """
 
 from repro.config import ShardingConfig
@@ -13,13 +17,11 @@ from repro.sharding.certificate import (
     verify_shard_certificate,
 )
 from repro.sharding.map import ShardMap
-from repro.sharding.pab import ShardPabEngine
 
 __all__ = [
     "CertificateError",
     "ShardCertificate",
     "ShardMap",
-    "ShardPabEngine",
     "ShardingConfig",
     "make_shard_certificate",
     "verify_shard_certificate",

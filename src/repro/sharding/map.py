@@ -22,8 +22,13 @@ recoverable (the per-shard PAB-Provable-Availability property).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.config import ShardingConfig
 from repro.types.microblock import MicroBlockId, microblock_origin
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.config import ProtocolConfig
 
 
 class ShardMap:
@@ -59,6 +64,11 @@ class ShardMap:
         self._quorums = tuple(
             self.f_of(shard) + 1 for shard in range(self.shards)
         )
+
+    @classmethod
+    def for_protocol(cls, config: "ProtocolConfig") -> "ShardMap":
+        """The map a ``sharded-stratus`` run derives from its config."""
+        return cls(config.n, config.sharding or ShardingConfig())
 
     def _build_members(self, shard: int) -> tuple[int, ...]:
         members: list[int] = []

@@ -1,305 +1,12 @@
 """Per-shard provably available broadcast.
 
-The shard variant of :class:`repro.mempool.stratus.pab.PabEngine`: the
-push phase fans out only to the owning shard's members, the quorum is
-the *shard* quorum (``f_s + 1`` of the membership), and quorum
-completion mints a :class:`repro.sharding.ShardCertificate` instead of
-an availability proof. Certificates — not bodies — are what the rest of
-the network sees: they are broadcast to everyone on the control channel
-and later ride inside consensus proposals.
-
-Recovery is certificate-driven: a replica that needs a certified body it
-never received (shard members that missed the push, or an executor
-outside the shard) fetches it from a random sample of the certificate's
-signers via the shared :class:`repro.mempool.fetching.FetchManager`.
+The sharded mempool runs the one Stratus PAB engine under the shard
+availability scheme (:class:`repro.mempool.stratus.availability.ShardScheme`);
+this name is kept for callers that import the shard engine directly.
 """
 
-from __future__ import annotations
+from repro.mempool.stratus.pab import PabEngine
 
-from typing import Callable, Optional, TYPE_CHECKING
+ShardPabEngine = PabEngine
 
-from repro.config import ProtocolConfig
-from repro.crypto import Signature, sign
-from repro.mempool.base import MessageKinds
-from repro.mempool.fetching import (
-    FetchManager,
-    adaptive_retry_delay,
-    sampled_signers,
-)
-from repro.mempool.store import MicroBlockStore
-from repro.sharding.certificate import (
-    CertificateError,
-    ShardCertificate,
-    make_shard_certificate,
-    verify_shard_certificate,
-)
-from repro.sharding.map import ShardMap
-from repro.sim.interfaces import Channel, Envelope
-from repro.types import sizes
-from repro.types.microblock import MicroBlock, MicroBlockId
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.replica.node import Replica
-
-OnCertified = Callable[[MicroBlockId, ShardCertificate], None]
-
-#: EWMA smoothing weight for the push->first-remote-ack RTT sample.
-RTT_EWMA_ALPHA = 0.2
-
-
-class _ShardPush:
-    """Ack bookkeeping for one shard-PAB instance at its pusher."""
-
-    __slots__ = (
-        "microblock", "acks", "signers", "started_at", "on_certified",
-        "done", "targets", "timer", "rounds",
-    )
-
-    def __init__(
-        self,
-        microblock: MicroBlock,
-        started_at: float,
-        on_certified: OnCertified,
-        targets: tuple[int, ...],
-    ) -> None:
-        self.microblock = microblock
-        self.acks: list[Signature] = []
-        self.signers: set[int] = set()
-        self.started_at = started_at
-        self.on_certified = on_certified
-        self.done = False
-        self.targets = targets
-        self.timer = None
-        self.rounds = 1
-
-
-class ShardPabEngine:
-    """One replica's shard-PAB endpoint (pusher, witness, recoverer)."""
-
-    def __init__(
-        self,
-        host: "Replica",
-        config: ProtocolConfig,
-        shard_map: ShardMap,
-        store: MicroBlockStore,
-        fetcher: FetchManager,
-        on_certificate: OnCertified,
-        on_stable: Optional[Callable[[MicroBlockId, float], None]] = None,
-        retry_floor: Optional[Callable[[], Optional[float]]] = None,
-    ) -> None:
-        self._host = host
-        self._config = config
-        self._map = shard_map
-        self._store = store
-        self._fetcher = fetcher
-        self._on_certificate = on_certificate
-        self._on_stable = on_stable
-        self._retry_floor = retry_floor
-        self._ack_rtt: Optional[float] = None
-        self._pushes: dict[MicroBlockId, _ShardPush] = {}
-        self._certs: dict[MicroBlockId, ShardCertificate] = {}
-        #: This replica's own shard (the one its microblocks land in)
-        #: and the push fan-out inside it, computed once.
-        self.own_shard = shard_map.shard_of_origin(host.node_id)
-        self._own_members = shard_map.members(self.own_shard)
-        self._own_quorum = shard_map.quorum(self.own_shard)
-        self._targets: tuple[int, ...] = tuple(
-            node for node in self._own_members if node != host.node_id
-        )
-
-    # -- pusher role ---------------------------------------------------
-
-    def push(self, microblock: MicroBlock, on_certified: OnCertified) -> None:
-        """Start the shard push phase for a locally cut microblock."""
-        self._store.add(microblock)
-        state = _ShardPush(
-            microblock, self._host.sim.now, on_certified, self._targets
-        )
-        self._pushes[microblock.id] = state
-        if self._host.node_id in self._map.member_set(self.own_shard):
-            # The pusher's local copy counts toward the shard quorum,
-            # like Algorithm 1's self-ack — but only if it is a member.
-            state.acks.append(sign(self._host.node_id, microblock.id))
-            state.signers.add(self._host.node_id)
-        if state.targets:
-            self._host.network.broadcast(
-                self._host.node_id,
-                MessageKinds.SHARD_MICROBLOCK,
-                microblock.size_bytes,
-                microblock,
-                recipients=list(state.targets),
-            )
-        self._arm_retry(state)
-        self._maybe_complete(state)
-
-    def repush_pending(self) -> int:
-        """Retransmit pushes that never reached their shard quorum.
-
-        Crash-restart recovery: acks sent while the pusher was down died
-        with its ingress queue; without a nudge a stalled instance waits
-        a full backoff period. Returns the number retransmitted.
-        """
-        stalled = [
-            state for state in self._pushes.values() if not state.done
-        ]
-        for state in stalled:
-            if state.timer is not None:
-                state.timer.cancel()
-                state.timer = None
-            self._retry_push(state)
-        return len(stalled)
-
-    def _arm_retry(self, state: _ShardPush) -> None:
-        stable = self._retry_floor() if self._retry_floor else None
-        pending = len(state.targets) - max(0, len(state.signers) - 1)
-        delay = adaptive_retry_delay(
-            self._config, state.rounds, self._host,
-            state.microblock.size_bytes, max(1, pending),
-            stable_estimate=stable, rtt_estimate=self._ack_rtt,
-        )
-        state.timer = self._host.sim.schedule(
-            delay, lambda: self._retry_push(state)
-        )
-
-    def _retry_push(self, state: _ShardPush) -> None:
-        if state.done or state.microblock.id not in self._pushes:
-            return
-        state.rounds += 1
-        acked = state.signers
-        missing = [node for node in state.targets if node not in acked]
-        if missing:
-            self._host.network.broadcast(
-                self._host.node_id,
-                MessageKinds.SHARD_MICROBLOCK,
-                state.microblock.size_bytes,
-                state.microblock,
-                recipients=missing,
-            )
-        self._arm_retry(state)
-
-    def _maybe_complete(self, state: _ShardPush) -> None:
-        if len(state.signers) < self._own_quorum:
-            return
-        try:
-            cert = make_shard_certificate(
-                state.microblock, self.own_shard, state.acks,
-                self._own_members, self._own_quorum, self._config.n,
-            )
-        except CertificateError:
-            return
-        state.done = True
-        if state.timer is not None:
-            state.timer.cancel()
-            state.timer = None
-        elapsed = self._host.sim.now - state.started_at
-        if self._on_stable is not None:
-            self._on_stable(state.microblock.id, elapsed)
-        del self._pushes[state.microblock.id]
-        self._certs[state.microblock.id] = cert
-        state.on_certified(state.microblock.id, cert)
-
-    # -- certificate dissemination / recovery --------------------------
-
-    def broadcast_certificate(self, cert: ShardCertificate) -> None:
-        """Tell every replica the microblock is certified-available."""
-        self._certs[cert.mb_id] = cert
-        self._host.network.broadcast(
-            self._host.node_id,
-            MessageKinds.SHARD_CERT,
-            cert.size_bytes,
-            (cert.mb_id, cert),
-            Channel.CONTROL,
-        )
-
-    def certificate_for(
-        self, mb_id: MicroBlockId
-    ) -> Optional[ShardCertificate]:
-        return self._certs.get(mb_id)
-
-    def fetch(self, mb_id: MicroBlockId, cert: ShardCertificate) -> None:
-        """Lazily retrieve a certified body from the cert's signers."""
-        provider = sampled_signers(
-            self._config, self._host.rng, cert.signers, self._host.node_id
-        )
-        self._fetcher.request(
-            mb_id, provider, delay=self._config.effective_recovery_delay
-        )
-
-    def discard(self, mb_id: MicroBlockId) -> None:
-        """Garbage-collect certificate state for a committed microblock."""
-        self._certs.pop(mb_id, None)
-        state = self._pushes.pop(mb_id, None)
-        if state is not None and state.timer is not None:
-            state.timer.cancel()
-        self._fetcher.cancel(mb_id)
-
-    # -- message handling ----------------------------------------------
-
-    def on_message(self, envelope: Envelope) -> bool:
-        """Process shard-PAB traffic; returns False for other kinds."""
-        kind = envelope.kind
-        if kind in (
-            MessageKinds.SHARD_MICROBLOCK,
-            MessageKinds.MICROBLOCK_FETCH,
-        ):
-            self._on_body(envelope)
-            return True
-        if kind == MessageKinds.SHARD_ACK:
-            self._on_ack(envelope)
-            return True
-        if kind == MessageKinds.SHARD_CERT:
-            self._on_cert_message(envelope)
-            return True
-        if kind == MessageKinds.FETCH_REQUEST:
-            self._fetcher.handle_request(envelope.src, envelope.payload)
-            return True
-        return False
-
-    def _on_body(self, envelope: Envelope) -> None:
-        microblock: MicroBlock = envelope.payload
-        self._store.add(microblock)
-        if (
-            envelope.kind == MessageKinds.SHARD_MICROBLOCK
-            and self._host.behavior.acks_microblocks
-        ):
-            # Witness: ack back to the pusher, even for duplicates.
-            self._host.network.send(
-                self._host.node_id,
-                envelope.src,
-                MessageKinds.SHARD_ACK,
-                sizes.ACK,
-                sign(self._host.node_id, microblock.id),
-                Channel.CONTROL,
-            )
-
-    def _on_ack(self, envelope: Envelope) -> None:
-        ack: Signature = envelope.payload
-        state = self._pushes.get(ack.digest)
-        if state is None or state.done:
-            return
-        if not state.signers - {self._host.node_id} and state.rounds == 1:
-            sample = self._host.sim.now - state.started_at
-            if self._ack_rtt is None:
-                self._ack_rtt = sample
-            else:
-                self._ack_rtt += RTT_EWMA_ALPHA * (sample - self._ack_rtt)
-        state.acks.append(ack)
-        state.signers.add(ack.signer)
-        self._maybe_complete(state)
-
-    def _on_cert_message(self, envelope: Envelope) -> None:
-        mb_id, cert = envelope.payload
-        if not verify_shard_certificate(cert, mb_id, self._map):
-            return
-        first_time = mb_id not in self._certs
-        self._certs[mb_id] = cert
-        if (
-            mb_id not in self._store
-            and self._map.is_member(self._host.node_id, cert.shard)
-        ):
-            # A member that missed the push recovers eagerly — it is part
-            # of the availability quorum peers will fetch from. Everyone
-            # else stays lazy: the certificate alone is enough to vote.
-            self.fetch(mb_id, cert)
-        if first_time:
-            self._on_certificate(mb_id, cert)
+__all__ = ["ShardPabEngine"]

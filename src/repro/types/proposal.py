@@ -7,8 +7,8 @@ protocol families:
 * **embedded** — full transaction data inside the proposal (native
   mempool: N-HS, N-SL);
 * **id list** — microblock ids only (simple/gossip/Narwhal SMP);
-* **proven id list** — microblock ids each carrying an availability
-  proof (Stratus).
+* **proven id list** — microblock ids each carrying availability
+  evidence: a proof (Stratus) or a shard certificate (sharded Stratus).
 
 A *block* is a proposal whose referenced microblocks have all been
 resolved locally ("full block"); until then it is a partial block.
@@ -17,7 +17,7 @@ resolved locally ("full block"); until then it is a partial block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING, Union
 
 from repro.types import sizes
 from repro.types.microblock import MicroBlock, MicroBlockId
@@ -32,20 +32,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 class PayloadEntry:
     """One microblock reference inside a proposal, optionally carrying
     the evidence consensus votes on: an availability proof (Stratus) or
-    a shard certificate (sharded-stratus). ``cert`` is appended last so
-    the binary codec's positional layout stays backward-ordered."""
+    a shard certificate (sharded-stratus)."""
 
     mb_id: MicroBlockId
-    proof: Optional["AvailabilityProof"] = None
-    cert: Optional["ShardCertificate"] = None
+    proof: Optional[Union["AvailabilityProof", "ShardCertificate"]] = None
 
     @property
     def size_bytes(self) -> int:
         size = sizes.MICROBLOCK_ID
         if self.proof is not None:
             size += self.proof.size_bytes
-        if self.cert is not None:
-            size += self.cert.size_bytes
         return size
 
 

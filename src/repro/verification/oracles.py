@@ -52,10 +52,9 @@ def _shard_map_for(protocol) -> Optional["object"]:
     """
     if protocol is None or protocol.mempool != "sharded-stratus":
         return None
-    from repro.config import ShardingConfig
     from repro.sharding import ShardMap
 
-    return ShardMap(protocol.n, protocol.sharding or ShardingConfig())
+    return ShardMap.for_protocol(protocol)
 
 
 @dataclass
@@ -475,10 +474,12 @@ class LedgerOracle(Oracle):
         if proposal.block_id in self._seen_blocks:
             return
         self._seen_blocks.add(proposal.block_id)
+        # Shard certificates carry the commit-accounting scalars that
+        # availability proofs lack.
         certs = {
-            entry.mb_id: entry.cert
+            entry.mb_id: entry.proof
             for entry in proposal.payload.entries
-            if getattr(entry, "cert", None) is not None
+            if getattr(entry.proof, "tx_count", None) is not None
         }
         for mb_id in proposal.payload.microblock_ids:
             owner = self._committed.get(mb_id)

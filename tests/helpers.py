@@ -65,3 +65,31 @@ def inject(experiment, replica_id, count=4, payload=128):
     )
     replica.on_client_batch(batch)
     return batch
+
+
+def freeze_consensus(experiment):
+    """Stop engines from proposing so tests can inspect mempool state."""
+    for replica in experiment.replicas:
+        replica.consensus._try_propose = lambda *args, **kwargs: None
+
+
+def make_stratus_cluster(mempool="stratus", **kwargs):
+    """A Stratus cluster under either availability scheme.
+
+    Plain Stratus runs n=4. Sharded Stratus runs n=8 split into two
+    4-member shards, so a push reaches a strict subset of the replicas
+    and every shard still tolerates one fault.
+    """
+    if mempool == "sharded-stratus":
+        from repro.config import ShardingConfig
+
+        kwargs.setdefault("n", 8)
+        overrides = dict(kwargs.pop("protocol_overrides", None) or {})
+        overrides.setdefault("sharding", ShardingConfig(shards=2))
+        kwargs["protocol_overrides"] = overrides
+    return make_cluster(mempool=mempool, **kwargs)
+
+
+def fanout(experiment, node):
+    """Replicas a push from ``node`` reaches: its scheme's targets + itself."""
+    return set(experiment.replicas[node].mempool.pab.targets) | {node}

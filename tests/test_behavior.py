@@ -83,3 +83,53 @@ def test_proof_withholder_wastes_bandwidth_but_cannot_block_others():
     attacker_mb = exp.replicas[3].mempool.store.ids[0]
     assert attacker_mb in exp.replicas[0].mempool.store
     assert exp.replicas[0].mempool.pab.proof_for(attacker_mb) is None
+
+
+def test_censoring_sender_under_sharded_stratus():
+    """The censor reaches only the leader plus a shard quorum's worth of
+    witnesses; its microblock still certifies and commits, and the
+    honest shard members it skipped fetch the body. The leader sits in
+    the other shard, so its ack cannot count as a witness."""
+    from repro.config import ShardingConfig
+    from repro.mempool.base import MessageKinds
+    from repro.sim.interfaces import Channel
+    from tests.helpers import inject
+
+    exp = make_cluster(
+        n=8, mempool="sharded-stratus", fault="censor", fault_count=2,
+        protocol_overrides={"sharding": ShardingConfig(shards=2)},
+    )
+    sender = 6
+    host = exp.replicas[sender]
+    scheme = host.mempool.scheme
+    assert isinstance(host.behavior, CensoringSender)
+    pushed = []
+    broadcast = exp.network.broadcast
+
+    def record(src, kind, size, payload, channel=Channel.DATA,
+               recipients=None, **options):
+        if src == sender and kind == MessageKinds.SHARD_MICROBLOCK:
+            pushed.append(set(recipients))
+        broadcast(src, kind, size, payload, channel,
+                  recipients=recipients, **options)
+
+    exp.network.broadcast = record
+    leader = host.consensus.current_leader()
+    assert leader not in scheme.members
+    inject(exp, sender, count=4)
+    exp.sim.run_until(0.2)
+    mb_id = host.mempool.store.ids[0]
+    witnesses = pushed[0] - {leader}
+    assert witnesses <= set(scheme.members)
+    assert len(witnesses) == scheme.quorum - 1
+    exp.sim.run_until(5.0)
+    assert all(recipients <= pushed[0] for recipients in pushed)
+    assert exp.metrics.committed_tx_total >= 4
+    skipped = set(scheme.members) - pushed[0] - {sender}
+    assert skipped
+    for node in skipped:
+        assert mb_id in exp.replicas[node].mempool.store
+    assert exp.metrics.fetch_count > 0
+    # Replicas outside the shard stay lazy: no executor needs the body.
+    for node in set(range(8)) - set(scheme.members) - {leader}:
+        assert mb_id not in exp.replicas[node].mempool.store

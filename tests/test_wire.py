@@ -70,8 +70,7 @@ shard_certs = st.builds(
     mean_arrival=times, signers=signer_sets, forged=st.booleans(),
 )
 entries = st.builds(PayloadEntry, mb_id=ids,
-                    proof=st.one_of(st.none(), proofs),
-                    cert=st.one_of(st.none(), shard_certs))
+                    proof=st.one_of(st.none(), proofs, shard_certs))
 payloads = st.builds(
     Payload,
     entries=st.lists(entries, max_size=4).map(tuple),
