@@ -176,7 +176,14 @@ class DurableKVStore(KVStore):
         return info
 
     def _install_checkpoint(self, checkpoint: Checkpoint) -> None:
+        """Adopt ``checkpoint`` as the whole state.
+
+        Both callers (recovery and :meth:`install_snapshot`) have already
+        matched ``checkpoint.digest`` against a full recompute over
+        ``checkpoint.data``, so it seeds the digest memo as is.
+        """
         self._data = dict(checkpoint.data)
+        self._digest = checkpoint.digest
         self._tx_applied = checkpoint.tx_applied
         self._blocks_applied = checkpoint.blocks_applied
         self._last_height = checkpoint.height

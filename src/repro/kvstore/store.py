@@ -24,17 +24,26 @@ def kv_digest(data: dict[int, int]) -> str:
     which is salted per process). This is the checkpoint integrity key:
     a checkpoint whose stored digest does not match the recomputed
     digest of its payload is rejected at recovery.
+
+    The XOR runs on each pair digest as one 256-bit big-endian int
+    rather than byte by byte; the hex result is the same.
     """
-    acc = bytearray(32)
+    sha256 = hashlib.sha256
+    from_bytes = int.from_bytes
+    acc = 0
     for key, value in data.items():
-        pair = hashlib.sha256(b"%d:%d" % (key, value)).digest()
-        for i in range(32):
-            acc[i] ^= pair[i]
-    return bytes(acc).hex()
+        acc ^= from_bytes(sha256(b"%d:%d" % (key, value)).digest(), "big")
+    return acc.to_bytes(32, "big").hex()
 
 
 class KVStore:
-    """Deterministic KV state machine."""
+    """Deterministic KV state machine.
+
+    :meth:`state_digest` memoizes its result. The memo is cleared by
+    every :meth:`_apply` that writes at least one key; a block whose
+    microblocks are all empty leaves it warm. Subclasses that replace
+    ``_data`` wholesale must reset ``_digest`` too.
+    """
 
     def __init__(self, key_space: int = 10_000) -> None:
         if key_space <= 0:
@@ -46,6 +55,7 @@ class KVStore:
         self._blocks_applied = 0
         self._last_height = 0
         self._last_block_id = 0
+        self._digest: str | None = None
 
     @property
     def applied_block_ids(self) -> list[int]:
@@ -93,6 +103,8 @@ class KVStore:
         self._last_height = height
         self._last_block_id = block_id
         for mb_id, tx_count in pairs:
+            if tx_count:
+                self._digest = None
             for index in range(tx_count):
                 key = (mb_id * 1_000_003 + index) % self._key_space
                 self._data[key] = self._data.get(key, 0) + 1
@@ -103,5 +115,11 @@ class KVStore:
 
     def state_digest(self) -> str:
         """Order-independent digest of the store contents, stable across
-        processes and restarts (see :func:`kv_digest`)."""
-        return kv_digest(self._data)
+        processes and restarts (see :func:`kv_digest`).
+
+        Memoized until the next write; the lookup of the module-level
+        :func:`kv_digest` happens per call so that tracing can rebind it.
+        """
+        if self._digest is None:
+            self._digest = kv_digest(self._data)
+        return self._digest

@@ -97,14 +97,16 @@ class Replica:
         self.consensus.start()
 
     def crash(self) -> None:
-        """Crash the replica (crash-recovery model, durable state).
+        """Crash the replica (crash-recovery model).
 
         The network endpoint goes down and its egress/ingress queues are
         flushed, the behavior is swapped to silent so stray timer
         callbacks contribute nothing, and consensus timers are suspended.
-        Protocol state (votes, locks, stored microblocks) survives, which
-        matches a process whose consensus-critical state is persisted —
-        safety never depends on forgetting.
+        Protocol state (votes, locks, stored microblocks) stays in
+        memory. Nothing persists it: the durability layer logs only
+        executed KV blocks, so a live SIGKILL loses votes and locks that
+        this sim crash keeps. The consensus-state log and an ``amnesia``
+        crash mode that would close that gap are an open ROADMAP item.
         """
         if self.crashed:
             return

@@ -17,6 +17,11 @@ test and checks it against *every* honest replica's observed execution:
   (Section VII): commit progress resumes within a bound after each
   injected fault window heals.
 
+Commit and resolve observations count from honest replicas only.
+Microblock creation records count from every replica: batching only
+ever packs client transactions (no Byzantine behaviour touches it), and
+a Byzantine replica's clients are honest, so its content may commit.
+
 Oracles record :class:`Violation` objects on an :class:`OracleSuite`
 instead of raising, so one run surfaces every broken invariant and the
 fuzzer can attach the full list to its seed artifact.
@@ -156,7 +161,7 @@ class Oracle:
     def on_microblock_created(
         self, replica: "Replica", microblock: "MicroBlock"
     ) -> None:
-        """An honest replica batched a new microblock."""
+        """A replica, honest or not, batched a new microblock."""
 
     def on_block_resolved(self, replica: "Replica", block: "Block") -> None:
         """A committed block became full at an honest replica."""
@@ -215,8 +220,6 @@ class OracleSuite:
     def on_microblock_created(
         self, replica: "Replica", microblock: "MicroBlock"
     ) -> None:
-        if replica.node_id not in self._honest:
-            return
         for oracle in self.oracles:
             oracle.on_microblock_created(replica, microblock)
 
@@ -418,7 +421,7 @@ class LedgerOracle(Oracle):
     checked *per shard* as well — certified transactions committed in a
     shard must not exceed transactions batched by that shard's origins —
     and each committed certificate's embedded tx count is cross-checked
-    against the honest origin's creation record.
+    against the origin's creation record.
     """
 
     name = "smp-integrity"
@@ -529,7 +532,7 @@ class LedgerOracle(Oracle):
                     "fabricated",
                     f"committed microblock {mb_id:#x} (block "
                     f"{proposal.block_id:#x}) was never produced by any "
-                    f"honest replica",
+                    f"replica",
                     node=replica.node_id,
                     microblock=mb_id, block=proposal.block_id,
                 )

@@ -8,7 +8,11 @@ suite on a healthy cluster and asserting silence.
 
 from types import SimpleNamespace
 
+import pytest
+
+from repro.config import ShardingConfig
 from repro.crypto.certificates import GENESIS_QC
+from repro.harness import ExperimentConfig, build_experiment, tuned_protocol
 from repro.types.proposal import Payload, PayloadEntry, Proposal
 from repro.verification.oracles import (
     LedgerOracle,
@@ -19,6 +23,7 @@ from repro.verification.oracles import (
 )
 
 from tests.helpers import make_cluster
+from tests.test_equivalence_pin import shs_censor
 
 
 def stub_suite(oracle, honest=(0, 1, 2, 3), emitted_tx=10_000):
@@ -116,6 +121,16 @@ def test_ledger_flags_fabricated_id():
     assert kinds(suite) == ["fabricated"]
 
 
+def test_ledger_trusts_creation_records_of_byzantine_replicas():
+    """A censor's microblocks carry its honest clients' transactions;
+    an id nobody batched is still fabricated."""
+    suite = stub_suite(LedgerOracle(), honest=(0, 1, 2))
+    suite.on_microblock_created(replica(3), microblock(5, origin=3))
+    suite.on_local_commit(replica(0), proposal(10, 1, mb_ids=(5, 777)))
+    assert kinds(suite) == ["fabricated"]
+    assert suite.violations[0].details["microblock"] == 777
+
+
 def test_ledger_accepts_honest_replay_after_partition():
     """A re-proposal by a leader that never saw the first commit is NOT
     a duplicate (partition races are legitimate)."""
@@ -166,6 +181,27 @@ def test_honest_ids_excludes_configured_byzantine():
 
 
 # -- end to end ------------------------------------------------------------
+
+
+def sshs_censor():
+    protocol = tuned_protocol(
+        "SS-HS", n=8, batch_timeout=0.05, sharding=ShardingConfig(shards=2),
+    )
+    return ExperimentConfig(
+        protocol=protocol, rate_tps=2_000.0, seed=3, warmup=0.5,
+        duration=3.0, fault="censor", fault_count=2,
+    )
+
+
+@pytest.mark.parametrize("make", [shs_censor, sshs_censor],
+                         ids=["S-HS", "SS-HS"])
+def test_standard_suite_silent_with_censoring_senders(make):
+    """Two ``censor`` replicas: their content commits through fetches and
+    must read neither as fabricated nor as over-committing its shard."""
+    suite = standard_suite()
+    result = build_experiment(make(), suite).run()
+    assert result.committed_tx > 0
+    assert suite.violations == []
 
 
 def test_standard_suite_silent_on_healthy_cluster():
